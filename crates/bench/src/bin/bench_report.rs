@@ -89,7 +89,7 @@ fn main() {
     let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
     cfg.seed = seed;
     cfg.train_scale = train_scale;
-    // phase spans and the DP budget ledger only when a trace was asked
+    // phase spans and the budget-event stream only when a trace was asked
     // for; the measured numbers and the JSON artifact are unaffected
     let obs = if trace_out.is_some() {
         ObsHandle::enabled()

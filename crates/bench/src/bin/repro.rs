@@ -34,7 +34,7 @@ fn usage() -> ! {
          --out-md      output path (default REPRODUCTION.md)\n\
          --timings     include wall-clock in the artifacts (breaks diffability)\n\
          --trace-out   write a chrome://tracing JSON of the run (cells, fit\n\
-         \x20             phases, DP budget ledger); artifacts stay byte-identical"
+         \x20             phases, budget-event stream); artifacts stay byte-identical"
     );
     std::process::exit(2);
 }

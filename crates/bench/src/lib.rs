@@ -1,8 +1,9 @@
 //! Experiment harness for the paper's evaluation section.
 //!
-//! Every table and figure in §7 maps to one binary in `src/bin/` (full
-//! output, paper-style rows) and one Criterion bench in `benches/`
-//! (micro-scale regeneration). Shared machinery lives here:
+//! Every table and figure in §7 maps to a binary in `src/bin/`
+//! (full output, paper-style rows); `benches/micro_substrates` times the
+//! hot kernels against their reference twins. Shared machinery lives
+//! here:
 //!
 //! * [`Method`] — a uniform handle over Kamino (with all its ablation /
 //!   sampling variants) and the four baselines;
@@ -15,7 +16,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use kamino_baselines::{DpVae, Independent, NistPgm, PateGan, PrivBayes, Synthesizer};
+use kamino_baselines::{DpVae, NistPgm, PateGan, PrivBayes, Synthesizer};
 use kamino_core::{run_kamino, KaminoConfig, KaminoReport};
 use kamino_data::Instance;
 use kamino_datasets::Dataset;
@@ -195,11 +196,6 @@ pub fn figure1_roster() -> Vec<Box<dyn Synthesizer>> {
             ..DpVae::default()
         }),
     ]
-}
-
-/// The independent strawman (context rows in some tables).
-pub fn independent() -> Box<dyn Synthesizer> {
-    Box::new(Independent)
 }
 
 /// Reduced classifier roster for time-budgeted experiment binaries

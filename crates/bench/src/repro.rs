@@ -138,7 +138,7 @@ pub struct ReproConfig {
     /// artifacts are byte-for-byte diffable only without timings.
     pub timings: bool,
     /// Observability sink shared by every cell (spans, fit phases, the
-    /// DP budget ledger). Disabled by default; enabling it must not —
+    /// budget-event stream). Disabled by default; enabling it must not —
     /// and does not — change a single artifact byte (`--trace-out`
     /// exercises this, and CI re-asserts it).
     pub obs: ObsHandle,

@@ -92,7 +92,7 @@ pub fn search_params(budget: Budget, shape: SearchShape) -> PrivacyParams {
 }
 
 /// [`search_params`], recording the accepted plan's σ calibrations and
-/// composed ε/δ spend on `obs`' budget ledger. Back-off iterations the
+/// composed ε/δ spend on `obs`' budget-event stream. Back-off iterations the
 /// search discards are not recorded — the ledger reflects what the run
 /// actually spends. The returned Ψ is byte-identical to [`search_params`].
 pub fn search_params_with_obs(

@@ -63,7 +63,7 @@ pub struct KaminoConfig {
     /// `KAMINO_SHARDS` environment variable when set (the CI matrix uses
     /// it to run the whole suite through the sharded engine), else `1`.
     pub shards: usize,
-    /// Observability handle: spans, metrics and the DP budget ledger.
+    /// Observability handle: spans, metrics and the budget-event stream.
     /// Disabled by default, and strictly off the determinism contract —
     /// never encoded into snapshots or [`KaminoConfig::stable_hash`], and
     /// enabling it changes no RNG stream or output byte.

@@ -199,7 +199,7 @@ impl BudgetPlanner {
     }
 
     /// [`Self::plan`], with every σ calibration and the composed ε/δ
-    /// spend recorded on `obs`' budget ledger (events plus
+    /// spend recorded on `obs`' budget-event stream (events plus
     /// `kamino_dp_sigma`/`kamino_dp_epsilon` gauges and a
     /// `kamino_dp_plans_total` counter). Planning itself is byte-identical
     /// whether or not `obs` is enabled.

@@ -1,9 +1,11 @@
 //! Structured event sink: a bounded ring of typed events.
 //!
-//! The flagship stream is the **DP budget ledger**: `kamino-dp` records
+//! The flagship stream is the **budget-event stream**: `kamino-dp` records
 //! every σ calibration and every composed ε/δ spend here, tagged with the
-//! mechanism id (`m1_histogram`, `m2_dpsgd`, `m3_weights`) so a scrape or
-//! trace dump shows exactly where the privacy budget went. Events carry a
+//! mechanism id (`m1_histogram`, `m2_dpsgd`, `m3_weights`) so a trace dump
+//! shows where a plan's privacy budget went. It is a bounded ring, not an
+//! account: the durable ledger of spent ε is the server's `ledger.kamlog`,
+//! exported as the `kamino_ledger_epsilon_total` gauge. Events carry a
 //! [`crate::clock`] timestamp and a process-local sequence number; neither
 //! ever reaches a committed artifact.
 

@@ -12,8 +12,13 @@
 //! - [`span`] — RAII span guards with per-thread parent/child nesting,
 //!   collected into a bounded ring.
 //! - [`events`] — a bounded ring of typed events, most importantly the
-//!   **DP budget ledger** (`kamino-dp`'s σ calibrations and composed ε/δ
-//!   spends, per mechanism).
+//!   **budget-event stream** (`kamino-dp`'s σ calibrations and composed
+//!   ε/δ spends, per mechanism). It explains a plan; it is not a ledger.
+//!   The one budget ledger is the server's durable `ledger.kamlog`
+//!   (`kamino-serve`'s `durable` module), and its gauge is
+//!   `kamino_ledger_epsilon_total`. The planner's
+//!   `kamino_dp_epsilon{kind="achieved"}` gauge holds only the latest
+//!   plan's value.
 //!
 //! Everything hangs off an [`ObsHandle`]. The handle is clone-cheap and
 //! **disabled by default**: a disabled handle never reads the clock,
@@ -158,7 +163,7 @@ impl ObsHandle {
         }
     }
 
-    /// Record a typed event (budget ledger, phase, marker).
+    /// Record a typed event (budget-event stream, phase, marker).
     pub fn event(&self, event: Event) {
         if let Some(inner) = &self.inner {
             inner.events.push(event);

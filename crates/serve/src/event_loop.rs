@@ -135,7 +135,7 @@ fn finish_inflight(c: &mut Conn, state: &AppState, status: &'static str) {
         );
     }
     if !status.starts_with('2') {
-        state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+        state.counters.errors.inc();
     }
 }
 
@@ -215,8 +215,8 @@ fn pump(c: &mut Conn, token: u64, state: &Arc<AppState>, jobs: &mpsc::Sender<Job
                                     && r.pool.wants_refill()
                                     && !s.slot.refill_queued.swap(true, Ordering::AcqRel);
                                 drop(guard);
-                                state.registry.pool_hits.fetch_add(1, Ordering::Relaxed);
-                                state.metrics.add_rows(rows);
+                                state.registry.pool_hits.inc();
+                                state.counters.rows.add(rows);
                                 state.registry.touch(&s.slot);
                                 let _ = http::write_chunk(&mut c.write_buf, text.as_bytes());
                                 s.remaining -= take;
@@ -337,7 +337,7 @@ fn apply_batch(
                     s.head_sent = true;
                 }
                 let _ = http::write_chunk(&mut c.write_buf, out.text.as_bytes());
-                state.metrics.add_rows(out.rows);
+                state.counters.rows.add(out.rows);
                 let take = s.remaining.min(s.batch);
                 s.remaining -= take;
                 Outcome::Continue
@@ -412,10 +412,7 @@ fn expire_deadline(c: &mut Conn, state: &Arc<AppState>, now: u64, next_gen: &mut
     };
     c.gen = *next_gen;
     *next_gen += 1;
-    state
-        .metrics
-        .deadline_expired
-        .fetch_add(1, Ordering::Relaxed);
+    state.counters.deadline_expired.inc();
     c.phase = Phase::Idle; // drops the stream's pin, if any
     if head_sent {
         let _ = http::finish_chunked_with_trailer(
@@ -462,8 +459,8 @@ fn serve_buffered(
                 return;
             }
             Parse::Bad(status) => {
-                state.metrics.requests.fetch_add(1, Ordering::Relaxed);
-                state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                state.counters.requests.inc();
+                state.counters.errors.inc();
                 let _ = http::write_response(
                     &mut c.write_buf,
                     status,
@@ -491,7 +488,7 @@ fn handle_request(
     jobs: &mpsc::Sender<Job>,
     draining: bool,
 ) {
-    state.metrics.requests.fetch_add(1, Ordering::Relaxed);
+    state.counters.requests.inc();
     let close = req.wants_close() || draining;
     let route = server::route_label(req);
     let mut span = state.obs.span("serve.request");
@@ -711,19 +708,13 @@ fn accept(
         interest: sys::Interest::READABLE,
         inflight: None,
     });
-    state
-        .metrics
-        .open_connections
-        .fetch_add(1, Ordering::Relaxed);
+    state.open_connections.fetch_add(1, Ordering::Relaxed);
 }
 
 fn close_conn(poller: &sys::Poller, conns: &mut [Option<Conn>], idx: usize, state: &Arc<AppState>) {
     if let Some(c) = conns[idx].take() {
         let _ = poller.delete(&c.stream);
-        state
-            .metrics
-            .open_connections
-            .fetch_sub(1, Ordering::Relaxed);
+        state.open_connections.fetch_sub(1, Ordering::Relaxed);
         // dropping the Conn closes the socket and releases any pin
     }
 }

@@ -31,7 +31,7 @@
 //!   `/synthesize` and snapshot work is shed with `429` + `Retry-After`,
 //!   and pool speculation pauses at half the bound (default 0 = off).
 //! * `--trace-out` — on shutdown, write everything the server recorded
-//!   (request spans, fit phases, the DP budget ledger) as a
+//!   (request spans, fit phases, the budget-event stream) as a
 //!   chrome://tracing JSON file. The same document is available live via
 //!   `POST /debug/trace`.
 //!

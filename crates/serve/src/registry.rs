@@ -38,6 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use kamino_core::FittedKamino;
 use kamino_data::Schema;
+use kamino_obs::metrics::{Counter, Gauge};
 use kamino_obs::{Event, ObsHandle};
 
 use crate::durable::{self, AbortReason, Ledger, LedgerRecord, Manifest};
@@ -242,34 +243,6 @@ impl Drop for PinGuard {
     }
 }
 
-/// Aggregate registry numbers for `GET /metrics`.
-pub struct RegistryStats {
-    /// Slots known to the registry (any state).
-    pub total: usize,
-    /// Models resident in memory right now.
-    pub resident: usize,
-    /// Residency bound (`0` = unbounded).
-    pub max_resident: usize,
-    /// `(model id, ring depth)` for every slot.
-    pub pool_depths: Vec<(u64, u64)>,
-    /// Pooled batches served without sampling.
-    pub pool_hits: u64,
-    /// Batches that had to sample on demand.
-    pub pool_misses: u64,
-    /// Models evicted to disk.
-    pub evictions: u64,
-    /// Snapshot loads (boot-lazy or post-eviction).
-    pub loads: u64,
-    /// Ledger records replayed at boot.
-    pub ledger_replays: u64,
-    /// Files quarantined (corrupt snapshots, stale tmps, bad manifests).
-    pub quarantined: u64,
-    /// Σ budgeted ε across every ledger intent — the durable upper
-    /// bound on privacy spend against this model directory (∞ when any
-    /// fit was non-private; 0 without a `--model-dir`).
-    pub ledger_epsilon: f64,
-}
-
 /// The server's model table.
 pub struct Registry {
     slots: Mutex<BTreeMap<u64, Arc<ModelSlot>>>,
@@ -279,32 +252,46 @@ pub struct Registry {
     max_resident: usize,
     pool_cfg: PoolConfig,
     model_dir: Option<PathBuf>,
+    /// The server's obs handle: boot events land here, and so do the
+    /// statistics below and the gauges [`Registry::set_gauges`] sets.
+    obs: ObsHandle,
     /// Pooled batches served without sampling.
-    pub pool_hits: AtomicU64,
+    pub pool_hits: Counter,
     /// Batches that had to sample on demand.
-    pub pool_misses: AtomicU64,
+    pub pool_misses: Counter,
     /// Models evicted to disk.
-    pub evictions: AtomicU64,
+    evictions: Counter,
     /// Snapshot loads (lazy boot loads and post-eviction reloads).
-    pub loads: AtomicU64,
+    loads: Counter,
+    /// Ledger records replayed at boot.
+    ledger_replays: Counter,
+    /// Files quarantined at boot or during recovery.
+    quarantined: Counter,
+    /// Σ budgeted ε across every ledger intent — the durable upper bound
+    /// on privacy spend against this model directory (∞ when any fit was
+    /// non-private; 0 without a `--model-dir`). Updated under the ledger
+    /// mutex.
+    ledger_epsilon: Gauge,
     /// The durable write-ahead ledger (`Some` once [`Registry::boot_scan`]
     /// ran with a model directory). Appends serialize on this mutex.
     ledger: Mutex<Option<Ledger>>,
     /// The committed-model manifest mirror, rewritten atomically on disk
     /// after every snapshot commit.
     manifest: Mutex<Manifest>,
-    /// Bit pattern of the Σ-intent-ε gauge (updated under the ledger
-    /// mutex; reads are lock-free).
-    ledger_epsilon_bits: AtomicU64,
-    /// Ledger records replayed at boot.
-    pub ledger_replays: AtomicU64,
-    /// Files quarantined at boot or during recovery.
-    pub quarantined: AtomicU64,
 }
 
 impl Registry {
-    /// An empty registry. `max_resident == 0` means unbounded.
-    pub fn new(max_resident: usize, pool_cfg: PoolConfig, model_dir: Option<PathBuf>) -> Registry {
+    /// An empty registry whose statistics live in `obs` (a disabled
+    /// handle records none). `max_resident == 0` means unbounded.
+    pub fn new(
+        max_resident: usize,
+        pool_cfg: PoolConfig,
+        model_dir: Option<PathBuf>,
+        obs: ObsHandle,
+    ) -> Registry {
+        let counter = |name| obs.counter(name, &[]);
+        obs.gauge("kamino_max_resident_models", &[])
+            .set(max_resident as f64);
         Registry {
             slots: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
@@ -312,15 +299,16 @@ impl Registry {
             max_resident,
             pool_cfg,
             model_dir,
-            pool_hits: AtomicU64::new(0),
-            pool_misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            loads: AtomicU64::new(0),
+            pool_hits: counter("kamino_pool_hits_total"),
+            pool_misses: counter("kamino_pool_misses_total"),
+            evictions: counter("kamino_model_evictions_total"),
+            loads: counter("kamino_model_loads_total"),
+            ledger_replays: counter("kamino_ledger_replays_total"),
+            quarantined: counter("kamino_quarantined_files_total"),
+            ledger_epsilon: obs.gauge("kamino_ledger_epsilon_total", &[]),
             ledger: Mutex::new(None),
             manifest: Mutex::new(Manifest::default()),
-            ledger_epsilon_bits: AtomicU64::new(0f64.to_bits()),
-            ledger_replays: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
+            obs,
         }
     }
 
@@ -351,13 +339,13 @@ impl Registry {
     /// stable across restarts; foreign names get the next free id after
     /// every recognized one — and after every id the ledger has ever
     /// mentioned, so a crashed fit's id is never reused.
-    pub fn boot_scan(&self, obs: &ObsHandle) -> std::io::Result<()> {
+    pub fn boot_scan(&self) -> std::io::Result<()> {
         let Some(dir) = &self.model_dir else {
             return Ok(());
         };
         let dir = dir.clone();
         std::fs::create_dir_all(&dir)?;
-        let ledger_max = self.boot_ledger(&dir, obs)?;
+        let ledger_max = self.boot_ledger(&dir)?;
         self.boot_manifest(&dir);
         let mut paths: Vec<PathBuf> = Vec::new();
         for entry in std::fs::read_dir(&dir)?.filter_map(|e| e.ok()) {
@@ -412,7 +400,7 @@ impl Registry {
     /// Opens and replays the ledger; converts dangling intents into
     /// `failed (crashed)` slots. Returns the largest model id the ledger
     /// has ever mentioned.
-    fn boot_ledger(&self, dir: &Path, obs: &ObsHandle) -> std::io::Result<u64> {
+    fn boot_ledger(&self, dir: &Path) -> std::io::Result<u64> {
         let (mut ledger, replay) = Ledger::open(dir)?;
         for &(id, _) in &replay.dangling {
             ledger.append(&LedgerRecord::FitAbort {
@@ -420,10 +408,8 @@ impl Registry {
                 reason: AbortReason::Crash,
             })?;
         }
-        self.ledger_replays
-            .store(replay.records.len() as u64, Ordering::Relaxed);
-        self.ledger_epsilon_bits
-            .store(replay.spent_epsilon.to_bits(), Ordering::Relaxed);
+        self.ledger_replays.add(replay.records.len() as u64);
+        self.ledger_epsilon.set(replay.spent_epsilon);
         if !replay.records.is_empty() || replay.truncated_bytes > 0 {
             println!(
                 "kamino-serve: replayed {} ledger record(s) ({} dangling, {} torn byte(s) \
@@ -433,7 +419,7 @@ impl Registry {
                 replay.truncated_bytes,
                 replay.spent_epsilon
             );
-            obs.event(Event::LedgerReplay {
+            self.obs.event(Event::LedgerReplay {
                 records: replay.records.len() as u64,
                 dangling: replay.dangling.len() as u64,
                 spent_epsilon: replay.spent_epsilon,
@@ -471,7 +457,7 @@ impl Registry {
     fn quarantine_file(&self, path: &Path, why: &str) {
         match durable::quarantine(path) {
             Ok(target) => {
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
+                self.quarantined.inc();
                 eprintln!(
                     "kamino-serve: quarantined {} -> {} ({why})",
                     path.display(),
@@ -509,9 +495,7 @@ impl Registry {
                 plan_hash,
             })
             .map_err(|e| format!("budget ledger append failed: {e}"))?;
-        let total = f64::from_bits(self.ledger_epsilon_bits.load(Ordering::Relaxed)) + epsilon;
-        self.ledger_epsilon_bits
-            .store(total.to_bits(), Ordering::Relaxed);
+        self.ledger_epsilon.set(self.ledger_epsilon.get() + epsilon);
         Ok(())
     }
 
@@ -675,7 +659,7 @@ impl Registry {
                 pool: SamplePool::new(self.pool_cfg),
             });
             *slot.status.lock().unwrap() = SlotStatus::Ready(meta);
-            self.loads.fetch_add(1, Ordering::Relaxed);
+            self.loads.inc();
         }
         self.touch(slot);
         self.evict_over_capacity();
@@ -758,33 +742,29 @@ impl Registry {
         self.commit_to_manifest(slot.id, &path);
         slot.set_snapshot_path(path);
         *slot.status.lock().unwrap() = SlotStatus::Unloaded(meta);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
+        self.evictions.inc();
         true
     }
 
-    /// A consistent snapshot of the registry's numbers for `/metrics`.
-    pub fn stats(&self) -> RegistryStats {
+    /// Copies the live slot state into its gauges; `GET /metrics` calls
+    /// this just before rendering.
+    pub fn set_gauges(&self) {
         let slots = self.list();
-        let mut resident = 0;
-        let mut pool_depths = Vec::with_capacity(slots.len());
+        let resident = slots
+            .iter()
+            .filter(|s| matches!(&*s.status.lock().unwrap(), SlotStatus::Ready(_)))
+            .count();
+        self.obs
+            .gauge("kamino_open_models", &[])
+            .set(slots.len() as f64);
+        self.obs
+            .gauge("kamino_resident_models", &[])
+            .set(resident as f64);
         for s in &slots {
-            if matches!(&*s.status.lock().unwrap(), SlotStatus::Ready(_)) {
-                resident += 1;
-            }
-            pool_depths.push((s.id, s.pool_depth.load(Ordering::Relaxed)));
-        }
-        RegistryStats {
-            total: slots.len(),
-            resident,
-            max_resident: self.max_resident,
-            pool_depths,
-            pool_hits: self.pool_hits.load(Ordering::Relaxed),
-            pool_misses: self.pool_misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            loads: self.loads.load(Ordering::Relaxed),
-            ledger_replays: self.ledger_replays.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            ledger_epsilon: f64::from_bits(self.ledger_epsilon_bits.load(Ordering::Relaxed)),
+            let depth = s.pool_depth.load(Ordering::Relaxed) as f64;
+            self.obs
+                .gauge("kamino_pool_depth", &[("model", &s.id.to_string())])
+                .set(depth);
         }
     }
 }

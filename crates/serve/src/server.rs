@@ -11,7 +11,7 @@
 //! | `POST /models/{id}/synthesize?n=..&batch=..&format=csv\|json` | stream rows (chunked) |
 //! | `POST /models/{id}/snapshot` | persist the model to the `--model-dir` |
 //! | `GET /healthz` | liveness |
-//! | `GET /metrics` | Prometheus text exposition: counters, rows/sec, latency histograms, pool/LRU gauges, DP budget ledger |
+//! | `GET /metrics` | Prometheus text exposition of the one obs registry: counters, latency histograms, pool/LRU gauges, `kamino_ledger_epsilon_total` (the durable ledger's ε), `kamino_dp_*` (the latest plan) |
 //! | `POST /debug/trace` | chrome://tracing JSON of recorded spans and events |
 //! | `POST /shutdown` | graceful stop: drain in-flight responses, exit `run` |
 //!
@@ -49,11 +49,11 @@ use std::time::Duration;
 use kamino_core::{fit_kamino, KaminoConfig};
 use kamino_datasets::Corpus;
 use kamino_dp::Budget;
-use kamino_obs::{metrics::LATENCY_BUCKETS_S, ObsHandle};
+use kamino_obs::metrics::{Counter, LATENCY_BUCKETS_S};
+use kamino_obs::{clock, ObsHandle};
 
 use crate::http::Request;
 use crate::json::Json;
-use crate::metrics::Metrics;
 use crate::pool::{Format, PoolConfig};
 use crate::registry::{ModelSlot, PinGuard, Registry, SlotStatus};
 use crate::sys;
@@ -113,7 +113,9 @@ pub struct ServeConfig {
     /// Observability handle shared by every request, fit job and model.
     /// Enabled by default — the server is the intended consumer of
     /// `/metrics` and `/debug/trace` — and strictly off the determinism
-    /// contract: synthesized bytes are identical either way.
+    /// contract: synthesized bytes are identical either way. A disabled
+    /// handle is replaced by a private enabled one, so `/metrics` always
+    /// counts.
     pub obs: ObsHandle,
 }
 
@@ -133,12 +135,57 @@ impl Default for ServeConfig {
     }
 }
 
+/// The serving counters: handles into the obs registry, looked up once
+/// at bind so each bump is one relaxed atomic add.
+pub(crate) struct Counters {
+    /// Requests accepted (any route, any outcome).
+    pub requests: Counter,
+    /// Requests that ended in a 4xx/5xx.
+    pub errors: Counter,
+    /// Synthetic rows streamed by `/synthesize`.
+    pub rows: Counter,
+    /// Fit jobs started.
+    pub fits_started: Counter,
+    /// Fit jobs completed successfully.
+    pub fits_done: Counter,
+    /// Requests shed with `429` because the worker queue was full.
+    pub sheds: Counter,
+    /// Requests answered `503` (or streams truncated) by the deadline.
+    pub deadline_expired: Counter,
+    /// `POST /fit` requests rejected by the concurrent-fit cap.
+    pub fit_rejected: Counter,
+}
+
+impl Counters {
+    fn new(obs: &ObsHandle) -> Counters {
+        let counter = |name| obs.counter(name, &[]);
+        Counters {
+            requests: counter("kamino_http_requests_total"),
+            errors: counter("kamino_http_errors_total"),
+            rows: counter("kamino_rows_synthesized_total"),
+            fits_started: counter("kamino_fits_started_total"),
+            fits_done: counter("kamino_fits_done_total"),
+            sheds: counter("kamino_shed_total"),
+            deadline_expired: counter("kamino_deadline_expired_total"),
+            fit_rejected: counter("kamino_fit_rejected_total"),
+        }
+    }
+}
+
 /// Everything the event loop and the workers share.
 pub(crate) struct AppState {
     pub registry: Registry,
-    pub metrics: Metrics,
+    pub counters: Counters,
     pub obs: ObsHandle,
     pub addr: SocketAddr,
+    /// Obs-clock stamp taken at bind (`uptime_ms`, `kamino_uptime_seconds`).
+    pub start_ns: u64,
+    /// Connections currently being served.
+    pub open_connections: AtomicU64,
+    /// Worker jobs queued but not yet picked up (drives shedding).
+    pub queue_depth: AtomicU64,
+    /// 1 while pool speculation is paused under queue pressure.
+    pub speculation_paused: AtomicU64,
     /// Set by `POST /shutdown`: stop accepting, drain, exit.
     pub draining: AtomicBool,
     /// Fit jobs currently training (bounded by [`MAX_CONCURRENT_FITS`]).
@@ -311,9 +358,6 @@ pub(crate) fn observe_request(
     status: &str,
     dur_ns: u64,
 ) {
-    if !state.obs.is_enabled() {
-        return;
-    }
     let code = status.split(' ').next().unwrap_or(status);
     state
         .obs
@@ -342,13 +386,22 @@ impl Server {
             batches: cfg.pool_batches,
             rows: cfg.pool_rows,
         };
-        let registry = Registry::new(cfg.max_models, pool_cfg, cfg.model_dir.clone());
-        registry.boot_scan(&cfg.obs)?;
+        let obs = if cfg.obs.is_enabled() {
+            cfg.obs
+        } else {
+            ObsHandle::enabled()
+        };
+        let registry = Registry::new(cfg.max_models, pool_cfg, cfg.model_dir, obs.clone());
+        registry.boot_scan()?;
         let state = Arc::new(AppState {
             registry,
-            metrics: Metrics::new(),
-            obs: cfg.obs.clone(),
+            counters: Counters::new(&obs),
+            obs,
             addr,
+            start_ns: clock::now_nanos(),
+            open_connections: AtomicU64::new(0),
+            queue_depth: AtomicU64::new(0),
+            speculation_paused: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             active_fits: AtomicU64::new(0),
             request_timeout_ns: cfg.request_timeout.as_nanos().min(u64::MAX as u128) as u64,
@@ -397,19 +450,19 @@ impl Server {
 
 /// Queues a job, keeping the shed/speculation pressure gauges current.
 pub(crate) fn send_job(state: &AppState, jobs: &mpsc::Sender<Job>, job: Job) {
-    let depth = state.metrics.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
+    let depth = state.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
     note_queue_depth(state, depth);
     let _ = jobs.send(job);
 }
 
 /// `true` while the worker queue is at the shed bound.
 pub(crate) fn overloaded(state: &AppState) -> bool {
-    state.max_queue > 0 && state.metrics.queue_depth.load(Ordering::Acquire) >= state.max_queue
+    state.max_queue > 0 && state.queue_depth.load(Ordering::Acquire) >= state.max_queue
 }
 
 /// `true` while pool speculation should stay paused (queue pressure).
 pub(crate) fn speculation_paused(state: &AppState) -> bool {
-    state.metrics.speculation_paused.load(Ordering::Acquire) != 0
+    state.speculation_paused.load(Ordering::Acquire) != 0
 }
 
 /// Pressure hysteresis: speculation pauses once the queue is half full
@@ -420,15 +473,15 @@ fn note_queue_depth(state: &AppState, depth: u64) {
         return;
     }
     if depth >= state.max_queue.div_ceil(2) {
-        state.metrics.speculation_paused.store(1, Ordering::Release);
+        state.speculation_paused.store(1, Ordering::Release);
     } else if depth == 0 {
-        state.metrics.speculation_paused.store(0, Ordering::Release);
+        state.speculation_paused.store(0, Ordering::Release);
     }
 }
 
 /// The uniform shed reply: `429` + `Retry-After: 1`.
 fn shed_reply(state: &AppState, close: bool) -> Action {
-    state.metrics.sheds.fetch_add(1, Ordering::Relaxed);
+    state.counters.sheds.inc();
     Action::Respond(Reply::json_retry(
         "429 Too Many Requests",
         err_json("server overloaded: worker queue is full; retry shortly"),
@@ -443,7 +496,6 @@ fn worker_loop(state: &Arc<AppState>, rx: &Mutex<mpsc::Receiver<Job>>, done: &Co
         let job = rx.lock().unwrap().recv();
         let Ok(job) = job else { break };
         let depth = state
-            .metrics
             .queue_depth
             .fetch_sub(1, Ordering::AcqRel)
             .saturating_sub(1);
@@ -553,12 +605,11 @@ fn run_batch(
         slot.pool_depth
             .store(r.pool.depth() as u64, Ordering::Relaxed);
         drop(guard);
-        let counter = if hit {
-            &state.registry.pool_hits
+        if hit {
+            state.registry.pool_hits.inc();
         } else {
-            &state.registry.pool_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+            state.registry.pool_misses.inc();
+        }
         state.registry.touch(slot);
         return Ok(BatchOut {
             text,
@@ -668,7 +719,7 @@ fn run_fit(state: &Arc<AppState>, slot: &Arc<ModelSlot>, spec: FitSpec) {
         }
     };
     if state.registry.finish_fit(slot, outcome, spec.persist) {
-        state.metrics.fits_done.fetch_add(1, Ordering::Relaxed);
+        state.counters.fits_done.inc();
     }
     state.active_fits.fetch_sub(1, Ordering::AcqRel);
 }
@@ -768,21 +819,17 @@ pub(crate) fn dispatch(
             let body = Json::obj([
                 ("status", Json::Str("ok".into())),
                 ("models", Json::Num(state.registry.len() as f64)),
-                ("uptime_ms", Json::Num(state.metrics.uptime_ms() as f64)),
+                ("uptime_ms", Json::Num(uptime_ns(state) as f64 / 1e6)),
             ]);
             Action::Respond(Reply::json("200 OK", body, close))
         }
-        ("GET", ["metrics"]) => {
-            let stats = state.registry.stats();
-            let body = state.metrics.render_prometheus(&state.obs, &stats);
-            Action::Respond(Reply {
-                status: "200 OK",
-                content_type: "text/plain; version=0.0.4",
-                body: body.into_bytes(),
-                close,
-                retry_after: None,
-            })
-        }
+        ("GET", ["metrics"]) => Action::Respond(Reply {
+            status: "200 OK",
+            content_type: "text/plain; version=0.0.4",
+            body: render_metrics(state).into_bytes(),
+            close,
+            retry_after: None,
+        }),
         ("POST", ["debug", "trace"]) => Action::Respond(Reply {
             status: "200 OK",
             content_type: "application/json",
@@ -850,6 +897,23 @@ pub(crate) fn dispatch(
     }
 }
 
+fn uptime_ns(state: &AppState) -> u64 {
+    clock::now_nanos().saturating_sub(state.start_ns)
+}
+
+/// The `GET /metrics` body: live state is copied into gauges, then the
+/// obs registry renders every series.
+fn render_metrics(state: &AppState) -> String {
+    let gauge = |name: &str, v: f64| state.obs.gauge(name, &[]).set(v);
+    let live = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64;
+    gauge("kamino_uptime_seconds", uptime_ns(state) as f64 / 1e9);
+    gauge("kamino_open_connections", live(&state.open_connections));
+    gauge("kamino_queue_depth", live(&state.queue_depth));
+    gauge("kamino_speculation_paused", live(&state.speculation_paused));
+    state.registry.set_gauges();
+    state.obs.render_prometheus()
+}
+
 fn lookup(state: &AppState, id: &str) -> Option<Arc<ModelSlot>> {
     id.parse::<u64>().ok().and_then(|id| state.registry.get(id))
 }
@@ -887,8 +951,8 @@ fn dispatch_fit(
         Ok(s) => s,
         Err(e) => return Action::Respond(Reply::json("400 Bad Request", err_json(&e), close)),
     };
-    // fit phases, per-column sample spans and the DP budget ledger all
-    // land in the server's shared obs sinks
+    // fit phases, per-column sample spans and the budget-event stream
+    // all land in the server's shared obs sinks
     spec.cfg.obs = state.obs.clone();
 
     // admission control: claim a training slot or turn the burst away
@@ -899,7 +963,7 @@ fn dispatch_fit(
         })
         .is_ok();
     if !claimed {
-        state.metrics.fit_rejected.fetch_add(1, Ordering::Relaxed);
+        state.counters.fit_rejected.inc();
         return Action::Respond(Reply::json_retry(
             "429 Too Many Requests",
             err_json(&format!(
@@ -912,7 +976,7 @@ fn dispatch_fit(
 
     let slot = state.registry.create_fitting();
     let id = slot.id;
-    state.metrics.fits_started.fetch_add(1, Ordering::Relaxed);
+    state.counters.fits_started.inc();
     send_job(state, jobs, Job::Fit { slot, spec });
 
     let body = Json::obj([
@@ -1009,4 +1073,95 @@ fn dispatch_synthesize(
         meta_known: csv_header.is_some(),
         csv_header,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counters_accumulate_and_render() {
+        let dir = std::env::temp_dir().join(format!("kamino-serve-render-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // a disabled handle still gets a counting registry
+        let server = Server::bind(ServeConfig {
+            listen: "127.0.0.1:0".into(),
+            model_dir: Some(dir.clone()),
+            max_models: 2,
+            obs: ObsHandle::disabled(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let state = &server.state;
+        state.counters.requests.add(4);
+        state.counters.errors.inc();
+        state.counters.rows.add(100);
+        state.counters.rows.add(50);
+        state.queue_depth.store(3, Ordering::Relaxed);
+        let slot = state.registry.create_fitting();
+        slot.pool_depth.store(5, Ordering::Relaxed);
+        // a non-private fit makes the durable ε bound infinite
+        state
+            .registry
+            .record_fit_intent(slot.id, f64::INFINITY, 0.0, 0)
+            .unwrap();
+        let body = render_metrics(state);
+        for line in [
+            "# TYPE kamino_http_requests_total counter",
+            "kamino_http_requests_total 4",
+            "kamino_http_errors_total 1",
+            "kamino_rows_synthesized_total 150",
+            "kamino_shed_total 0",
+            "kamino_deadline_expired_total 0",
+            "kamino_fit_rejected_total 0",
+            "kamino_queue_depth 3",
+            "kamino_speculation_paused 0",
+            "kamino_open_connections 0",
+            "kamino_open_models 1",
+            "kamino_resident_models 0",
+            "kamino_max_resident_models 2",
+            "kamino_model_loads_total 0",
+            "kamino_model_evictions_total 0",
+            "kamino_pool_hits_total 0",
+            "kamino_pool_misses_total 0",
+            "kamino_pool_depth{model=\"1\"} 5",
+            "kamino_ledger_replays_total 0",
+            "kamino_quarantined_files_total 0",
+            "kamino_ledger_epsilon_total +Inf",
+        ] {
+            assert!(
+                body.contains(&format!("{line}\n")),
+                "{line} missing:\n{body}"
+            );
+        }
+        for derivable in [
+            "kamino_ready_models",
+            "kamino_rows_per_sec",
+            "kamino_http_error_rate",
+        ] {
+            assert!(!body.contains(derivable), "{derivable} still exported");
+        }
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_callers_obs_registry_is_the_page() {
+        let obs = ObsHandle::enabled();
+        let server = Server::bind(ServeConfig {
+            listen: "127.0.0.1:0".into(),
+            obs: obs.clone(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        obs.counter("kamino_dp_plans_total", &[]).inc();
+        server.state.counters.requests.inc();
+        let body = render_metrics(&server.state);
+        assert!(body.contains("# TYPE kamino_dp_plans_total counter\n"));
+        assert!(body.contains("kamino_dp_plans_total 1\n"));
+        // and the server's own series land in the caller's registry
+        assert!(obs
+            .render_prometheus()
+            .contains("kamino_http_requests_total 1\n"));
+    }
 }

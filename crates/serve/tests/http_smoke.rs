@@ -9,6 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use kamino_obs::ObsHandle;
 use kamino_serve::{Json, ServeConfig, Server};
 
 /// One HTTP exchange over a fresh connection (`Connection: close`),
@@ -190,16 +191,16 @@ fn fit_synthesize_concurrent_clients_and_clean_shutdown() {
         .parse()
         .expect("rows counter not an integer");
     assert!(rows >= 220, "only {rows} rows counted");
-    assert!(body.contains("kamino_ready_models 1\n"), "{body}");
-    // the obs registry is merged in: request-latency histograms and the
-    // DP budget ledger from the fit above
+    assert!(body.contains("kamino_resident_models 1\n"), "{body}");
+    // request-latency histograms and the DP plan gauges from the fit
+    // above share the one registry
     assert!(
         body.contains("kamino_http_request_duration_seconds_bucket"),
         "latency histogram missing"
     );
     assert!(
         body.contains("kamino_dp_plans_total 1"),
-        "budget ledger missing"
+        "DP plan counter missing"
     );
     assert!(body.contains("kamino_dp_sigma{mechanism=\"m2_dpsgd\"}"));
 
@@ -362,4 +363,115 @@ fn model_dir_persists_models_across_restarts() {
     assert!(dir.join("model-2.kamino").is_file());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fits a small Adult model and waits until it is ready.
+fn fit_small(addr: SocketAddr) -> u64 {
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/fit",
+        Some(r#"{"corpus":"adult","rows":100,"epsilon":1.0,"seed":9,"train_scale":0.03}"#),
+    );
+    assert!(status.contains("202"), "{status}: {body}");
+    let id = json(&body).get("model_id").and_then(Json::as_u64).unwrap();
+    wait_ready(addr, id);
+    id
+}
+
+/// Checks the Prometheus text format: each family has exactly one
+/// `# TYPE` line, and every sample line belongs to the family declared
+/// above it (a histogram family owns its `_bucket`/`_sum`/`_count`).
+fn assert_scrape_format(body: &str) {
+    let mut declared = std::collections::BTreeSet::new();
+    let mut family: Option<(&str, &str)> = None;
+    for line in body.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = decl.split_once(' ').expect("TYPE line names a kind");
+            assert!(declared.insert(name), "family {name} declared twice");
+            family = Some((name, kind));
+            continue;
+        }
+        let name = line.split(['{', ' ']).next().unwrap_or("");
+        let (fam, kind) = family.unwrap_or_else(|| panic!("sample before any TYPE: {line}"));
+        let owned = name == fam
+            || (kind == "histogram"
+                && ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .any(|suffix| name.strip_suffix(suffix) == Some(fam)));
+        assert!(owned, "sample {line:?} under family {fam} ({kind})");
+    }
+}
+
+#[test]
+fn metrics_page_declares_each_family_once_after_traffic() {
+    let server = Server::bind(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 2,
+        pool_batches: 2,
+        pool_rows: 10,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+    let handle = thread::spawn(move || server.run().expect("server run"));
+    let id = fit_small(addr);
+    let (status, _) = request(
+        addr,
+        "POST",
+        &format!("/models/{id}/synthesize?n=30&batch=10"),
+        None,
+    );
+    assert!(status.contains("200"), "{status}");
+    let (status, _) = request(addr, "GET", "/nope", None);
+    assert!(status.contains("404"), "{status}");
+    // two scrapes: the second renders gauges registered by the first
+    request(addr, "GET", "/metrics", None);
+    let (status, body) = request(addr, "GET", "/metrics", None);
+    assert!(status.contains("200"), "{status}");
+    assert_scrape_format(&body);
+    for family in [
+        "kamino_http_requests_total",
+        "kamino_http_errors_total",
+        "kamino_rows_synthesized_total",
+        "kamino_pool_depth",
+        "kamino_http_request_duration_seconds",
+        "kamino_dp_epsilon",
+        "kamino_ledger_epsilon_total",
+    ] {
+        assert!(
+            body.contains(&format!("# TYPE {family} ")),
+            "{family} missing: {body}"
+        );
+    }
+    shutdown(addr, handle);
+}
+
+#[test]
+fn a_server_with_disabled_obs_still_counts() {
+    let server = Server::bind(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 2,
+        obs: ObsHandle::disabled(),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+    let handle = thread::spawn(move || server.run().expect("server run"));
+    let id = fit_small(addr);
+    let (status, _) = request(
+        addr,
+        "POST",
+        &format!("/models/{id}/synthesize?n=25&batch=10"),
+        None,
+    );
+    assert!(status.contains("200"), "{status}");
+    let (_, body) = request(addr, "GET", "/metrics", None);
+    assert_scrape_format(&body);
+    assert_eq!(metric(&body, "kamino_rows_synthesized_total "), Some(25.0));
+    assert!(
+        metric(&body, "kamino_http_requests_total ").unwrap_or(0.0) >= 3.0,
+        "{body}"
+    );
+    shutdown(addr, handle);
 }

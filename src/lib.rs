@@ -21,7 +21,7 @@
 //! | [`eval`] | nine classifiers, marginal TVD, DC metrics, repair |
 //! | [`datasets`] | seeded generators for the paper's four corpora |
 //! | [`serve`] | `.kamino` model snapshots + the pure-std HTTP synthesis server |
-//! | [`obs`] | spans, metric registry, DP budget ledger, Prometheus/chrome-trace export |
+//! | [`obs`] | spans, metric registry, budget-event stream, Prometheus/chrome-trace export |
 //!
 //! plus the top-level [`synthesizer`] module — the [`Synthesizer`] session
 //! API: fit once under a planner-derived budget, then stream row batches
